@@ -1,9 +1,8 @@
 //! # abft-bench — the experiment harness behind Figures 4–9
 //!
-//! This crate contains the shared machinery used by both the Criterion
-//! benches (`benches/fig*.rs`, one per figure of the paper) and the
-//! `experiments` binary, which prints the same overhead tables the paper
-//! plots and records in EXPERIMENTS.md.
+//! This crate contains the machinery behind the `experiments` binary, which
+//! prints the overhead tables the paper plots (`--figure 4..9`) and records
+//! in EXPERIMENTS.md.
 //!
 //! The measurement protocol mirrors the paper's: the workload is a TeaLeaf
 //! heat-conduction solve (CG), the baseline is the unprotected build, and
@@ -16,7 +15,7 @@
 use abft_core::{EccScheme, ProtectionConfig};
 use abft_ecc::Crc32cBackend;
 use abft_faultsim::{Campaign, CampaignConfig, FaultOutcome, FaultTarget};
-use abft_solvers::{ProtectionMode, Solver};
+use abft_solvers::SolveSpec;
 use abft_sparse::CsrMatrix;
 use abft_tealeaf::assembly::{assemble_matrix, assemble_rhs, face_coefficients, Conductivity};
 use abft_tealeaf::states::apply_states;
@@ -80,23 +79,15 @@ pub fn tealeaf_system(nx: usize, ny: usize) -> TeaLeafSystem {
 /// code the paper's unmodified TeaLeaf would run.
 pub fn time_cg(system: &TeaLeafSystem, protection: &ProtectionConfig, iterations: usize) -> f64 {
     let start = Instant::now();
-    bench_cg_solve(system, protection, iterations);
-    start.elapsed().as_secs_f64()
-}
-
-/// The solve body shared by [`time_cg`] and the per-figure Criterion
-/// benches: exactly `iterations` CG iterations under `protection`, with the
-/// solution black-boxed so the optimiser cannot elide the work.
-pub fn bench_cg_solve(system: &TeaLeafSystem, protection: &ProtectionConfig, iterations: usize) {
-    let outcome = Solver::cg()
+    let outcome = SolveSpec::cg()
         .max_iterations(iterations)
         .tolerance(0.0)
-        .protection(ProtectionMode::from_config(protection))
-        .parallel(protection.parallel)
+        .protection(*protection)
         .solve(&system.matrix, &system.rhs)
         .expect("solve must succeed on clean data");
     assert_eq!(outcome.status.iterations, iterations);
     std::hint::black_box(outcome.solution);
+    start.elapsed().as_secs_f64()
 }
 
 /// Runtime overhead of `protected` relative to `baseline`, in percent.
@@ -378,7 +369,7 @@ pub struct ConvergenceRow {
 /// by a negligible amount and the iteration count by less than ~1 %.
 pub fn convergence_impact(nx: usize, ny: usize) -> Vec<ConvergenceRow> {
     let system = tealeaf_system(nx, ny);
-    let solver = Solver::cg().max_iterations(5000).tolerance(1e-15);
+    let solver = SolveSpec::cg().max_iterations(5000).tolerance(1e-15);
     let reference = solver
         .solve(&system.matrix, &system.rhs)
         .expect("plain reference solve");
@@ -389,7 +380,7 @@ pub fn convergence_impact(nx: usize, ny: usize) -> Vec<ConvergenceRow> {
             let protection =
                 ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::Hardware);
             let result = solver
-                .protection(ProtectionMode::Full(protection))
+                .protection(protection)
                 .solve(&system.matrix, &system.rhs)
                 .expect("protected solve");
             let norm: f64 = result.solution.iter().map(|v| v * v).sum::<f64>().sqrt();

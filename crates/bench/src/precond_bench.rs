@@ -26,13 +26,10 @@
 
 use crate::best_of;
 use crate::json::Json;
-use abft_core::{EccScheme, FaultLog, FaultLogSnapshot, ProtectedCsr, ProtectionConfig};
+use abft_core::{EccScheme, FaultLog, ProtectedCsr, ProtectionConfig};
 use abft_ecc::Crc32cBackend;
 use abft_solvers::backends::FullyProtected;
-use abft_solvers::{
-    ft_pcg, FaultContext, Ilu0, LinearOperator, Polynomial, Preconditioner, ReliabilityPolicy,
-    SolveStatus, SolverConfig, SolverError,
-};
+use abft_solvers::{Ilu0, Polynomial, Preconditioner, ReliabilityPolicy, SolveSpec, SolverConfig};
 use abft_sparse::builders::{pad_rows_to_min_entries, poisson_2d_padded};
 use abft_sparse::{load_matrix_market, CsrMatrix};
 
@@ -154,23 +151,6 @@ fn distinct_indices(count: usize, domain: usize) -> Vec<usize> {
     out
 }
 
-/// The shared FT-PCG path (identical to `SolveSpec::solve` and the queue's
-/// per-column dispatch): protected outer loop, caller-tier inner apply.
-fn run_ft_pcg<Op: LinearOperator>(
-    op: &Op,
-    rhs: &[f64],
-    precond: &dyn Preconditioner,
-    config: &SolverConfig,
-) -> Result<(Vec<f64>, SolveStatus, FaultLogSnapshot), SolverError> {
-    let log = FaultLog::new();
-    let base = FaultContext::with_log(&log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(op, &b, precond, config, &ctx)?;
-    let solution = op.finish(&mut x, &ctx)?;
-    Ok((solution, status, log.snapshot()))
-}
-
 fn relative_l2_distance(x: &[f64], reference: &[f64]) -> f64 {
     let (mut num, mut den) = (0.0, 0.0);
     for (a, b) in x.iter().zip(reference) {
@@ -212,7 +192,7 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
         ),
         (file_stem(&config.fixture), fixture),
     ];
-    let solver_config = SolverConfig::new(config.max_iterations, config.tolerance);
+    let spec = SolveSpec::cg().config(SolverConfig::new(config.max_iterations, config.tolerance));
     let protection = ProtectionConfig::full(EccScheme::Secded64);
     let mut rows = Vec::new();
 
@@ -222,6 +202,12 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
         let rhs: Vec<f64> = (0..matrix.rows())
             .map(|i| 1.0 + (i % 7) as f64 * 0.25)
             .collect();
+        // The FT-PCG path `SolveSpec::solve` and the queue run: protected
+        // outer loop, caller-tier inner apply.
+        let solve = |precond: &dyn Preconditioner| {
+            spec.solve_operator_preconditioned(&op, &rhs, precond, &FaultLog::new())
+                .expect("FT-PCG never returns a wrong answer")
+        };
 
         // The fault-free reference every row's answer is checked against:
         // a clean uniform-tier ILU(0) solve.
@@ -232,8 +218,7 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
             Crc32cBackend::Auto,
         )
         .expect("factor reference ILU(0)");
-        let (reference, _, _) = run_ft_pcg(&op, &rhs, &reference_precond, &solver_config)
-            .expect("clean reference solve");
+        let reference = solve(&reference_precond).solution;
 
         // ILU(0) sweeps the flip counts; the polynomial fallback records
         // the fault-free per-iteration trade for patterns ILU rejects.
@@ -273,14 +258,11 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
                         built.inject(k, 54 + (i % 8) as u32);
                     }
 
-                    let (solution, status, faults) =
-                        run_ft_pcg(&op, &rhs, built.precond(), &solver_config)
-                            .expect("FT-PCG never returns a wrong answer");
+                    let outcome = solve(built.precond());
                     let ns = best_of(config.repeats, 1, |_| {
-                        let out = run_ft_pcg(&op, &rhs, built.precond(), &solver_config)
-                            .expect("FT-PCG never returns a wrong answer");
-                        std::hint::black_box(out.0);
+                        std::hint::black_box(solve(built.precond()).solution);
                     });
+                    let (status, faults) = (outcome.status, outcome.faults);
                     rows.push(PrecondBenchRow {
                         matrix: matrix_label.clone(),
                         precond: (*kind).into(),
@@ -289,7 +271,7 @@ pub fn precond_microbench(config: &PrecondBenchConfig) -> Vec<PrecondBenchRow> {
                         mean_ns_to_solution: ns,
                         iterations: status.iterations,
                         converged: status.converged,
-                        solution_ok: relative_l2_distance(&solution, &reference) < 1e-6,
+                        solution_ok: relative_l2_distance(&outcome.solution, &reference) < 1e-6,
                         bounds_violations: faults.bounds_violations.iter().sum(),
                         corrected: faults.corrected.iter().sum(),
                     });

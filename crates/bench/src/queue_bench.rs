@@ -6,7 +6,7 @@
 //! the serving front door: a fixed set of jobs against one protected
 //! matrix is solved twice per configuration —
 //!
-//! * **serial** (the *pre* point): one `Solver::cg().solve_operator` call
+//! * **serial** (the *pre* point): one `SolveSpec::cg().solve_operator` call
 //!   per job, one at a time, the way every dispatch loop in this repo
 //!   worked before the [`SolveQueue`] existed; and
 //! * **batched** (the *post* point): the same jobs submitted to a
@@ -26,7 +26,7 @@ use crate::json::Json;
 use abft_core::{EccScheme, FaultLogSnapshot, ProtectedCsr, ProtectionConfig, Region};
 use abft_serve::{JobSpec, SolveQueue};
 use abft_solvers::backends::FullyProtected;
-use abft_solvers::{Solver, SolverConfig};
+use abft_solvers::{SolveSpec, SolverConfig};
 use abft_sparse::builders::poisson_2d_padded;
 
 /// One measured configuration of the sweep.
@@ -120,7 +120,7 @@ pub fn queue_microbench(config: &QueueBenchConfig) -> Vec<QueueBenchRow> {
         // Pre: the historical dispatch loop — every job pays its own full
         // matrix verification.
         let op = FullyProtected::new(&encoded);
-        let solver = Solver::cg().config(solver_config);
+        let solver = SolveSpec::cg().config(solver_config);
         let solo = solver
             .solve_operator(&op, &rhs[0])
             .expect("clean serial solve");

@@ -25,14 +25,14 @@
 use crate::flip::{FaultSpec, FaultTarget, SolverVectorTarget};
 use crate::outcome::FaultOutcome;
 use abft_core::{
-    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectedMatrix,
-    ProtectedVector, ProtectionConfig, StorageTier,
+    AbftError, AnyProtectedMatrix, EccScheme, FaultLog, ProtectedMatrix, ProtectedVector,
+    ProtectionConfig, StorageTier,
 };
 use abft_solvers::backends::{FullyProtected, MatrixProtected};
 use abft_solvers::{
-    cg_with_poll, ft_pcg, ChebyshevBounds, FaultContext, Ilu0, LinearOperator, Method, Polynomial,
-    PrecondKind, Preconditioner, Reliability, ReliabilityPolicy, SolveStatus, Solver, SolverConfig,
-    SolverError,
+    cg_with_poll, ChebyshevBounds, FaultContext, Ilu0, LinearOperator, Method, Polynomial,
+    PrecondKind, Preconditioner, Reliability, ReliabilityPolicy, SolveOutcome, SolveSpec,
+    SolverConfig, SolverError,
 };
 use abft_sparse::CsrMatrix;
 use abft_tealeaf::assembly::{assemble_matrix, assemble_rhs, face_coefficients, Conductivity};
@@ -459,7 +459,7 @@ impl Campaign {
         let coeffs = face_coefficients(&grid, &density, Conductivity::Reciprocal);
         let matrix = assemble_matrix(&grid, &coeffs, deck.dt_init);
         let rhs = assemble_rhs(&density, &energy);
-        let reference = Solver::cg()
+        let reference = SolveSpec::cg()
             .max_iterations(deck.max_iters)
             .tolerance(deck.eps)
             .solve(&matrix, &rhs)
@@ -736,7 +736,8 @@ impl Campaign {
             Method::Jacobi => 20_000,
             _ => 2_000,
         };
-        let solver = Solver::new(self.config.solver)
+        let solver = SolveSpec::cg()
+            .method(self.config.solver)
             .max_iterations(max_iterations)
             .tolerance(1e-15)
             .bounds(ChebyshevBounds::estimate_gershgorin(&self.matrix));
@@ -945,28 +946,28 @@ impl Campaign {
             None => inner,
         };
 
+        // One full FT-PCG solve with its own fault log through the
+        // production front door.
         let config = SolverConfig::new(2_000, 1e-15);
+        let spec = SolveSpec::cg().config(config);
+        let log = FaultLog::new();
         let result = if self.config.protection.vectors != EccScheme::None {
-            run_ft_pcg(
-                &FullyProtected::new(&protected),
-                &self.rhs,
-                precond,
-                &config,
-            )
+            let op = FullyProtected::new(&protected);
+            spec.solve_operator_preconditioned(&op, &self.rhs, precond, &log)
         } else {
-            run_ft_pcg(
-                &MatrixProtected::new(&protected),
-                &self.rhs,
-                precond,
-                &config,
-            )
+            let op = MatrixProtected::new(&protected);
+            spec.solve_operator_preconditioned(&op, &self.rhs, precond, &log)
         };
         match result {
             Err(SolverError::Fault(AbftError::OutOfRange { .. })) => {
                 aborted(FaultOutcome::BoundsCaught)
             }
             Err(_) => aborted(FaultOutcome::DetectedAborted),
-            Ok((solution, status, faults)) => {
+            Ok(SolveOutcome {
+                solution,
+                status,
+                faults,
+            }) => {
                 // FT-PCG declares convergence when the *squared* recurrence
                 // residual drops below the absolute tolerance, so that is
                 // exactly what a converged return certifies — recompute the
@@ -1052,7 +1053,8 @@ impl Campaign {
         // derives them at assembly time, before any upset can strike) — the
         // corrupted copy could yield arbitrarily bad bounds and stall the
         // Chebyshev-type methods.
-        let solver = Solver::new(self.config.solver)
+        let solver = SolveSpec::cg()
+            .method(self.config.solver)
             .max_iterations(max_iterations)
             .tolerance(1e-15)
             .bounds(ChebyshevBounds::estimate_gershgorin(&self.matrix));
@@ -1227,24 +1229,6 @@ impl<Op: LinearOperator<Vector = ProtectedVector>> LinearOperator for InjectingO
     ) -> Result<Vec<f64>, SolverError> {
         self.inner.finish(solution, ctx)
     }
-}
-
-/// One full FT-PCG solve with its own fault log: the standalone production
-/// path (`SolveSpec` runs the identical sequence), returned with the
-/// snapshot so the trial can classify what the outer iteration observed.
-fn run_ft_pcg<Op: LinearOperator>(
-    op: &Op,
-    rhs: &[f64],
-    precond: &dyn Preconditioner,
-    config: &SolverConfig,
-) -> Result<(Vec<f64>, SolveStatus, FaultLogSnapshot), SolverError> {
-    let log = FaultLog::new();
-    let base = FaultContext::with_log(&log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(op, &b, precond, config, &ctx)?;
-    let solution = op.finish(&mut x, &ctx)?;
-    Ok((solution, status, log.snapshot()))
 }
 
 /// Where and how [`InjectingPreconditioner`] strikes.

@@ -37,7 +37,7 @@
 //! policy): the panel factors the preconditioner once and every column
 //! reuses the factors, but each column's solve is sequential and
 //! standalone-equivalent — bitwise identical to
-//! [`SolveSpec`](abft_solvers::SolveSpec) against the same encoded matrix,
+//! [`SolveSpec`] against the same encoded matrix,
 //! at any worker count.
 //!
 //! ## Graceful degradation
@@ -55,15 +55,13 @@
 
 use crate::pool::{submit, Ticket};
 use abft_core::{
-    AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectedMatrix, ProtectionConfig,
-    StorageTier, MAX_PANEL_WIDTH,
+    AnyProtectedMatrix, EccScheme, FaultLog, FaultLogSnapshot, ProtectedMatrix, MAX_PANEL_WIDTH,
 };
 use abft_solvers::backends::{FullyProtected, MatrixProtected};
 use abft_solvers::{
-    block_cg_panel, ft_pcg, FaultContext, LinearOperator, PrecondKind, Preconditioner,
-    ReliabilityPolicy, SolveStatus, SolverConfig, SolverError, Termination,
+    block_cg_panel, FaultContext, LinearOperator, PrecondKind, ReliabilityPolicy, SolveOutcome,
+    SolveSpec, SolveStatus, SolverConfig, SolverError, Termination,
 };
-use abft_sparse::CsrMatrix;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -340,47 +338,10 @@ impl SolveQueue {
     /// [`ProtectedBlockedCsr`](abft_core::ProtectedBlockedCsr)), an
     /// [`AnyProtectedMatrix`], or an already-shared
     /// `Arc<AnyProtectedMatrix>` handle.  Callers encode with
-    /// [`AnyProtectedMatrix::encode`] (the step the historical
-    /// `register_matrix` / `register_matrix_tiered` pair folded in) and
-    /// hand the result over.
+    /// [`AnyProtectedMatrix::encode`] and hand the result over.
     pub fn register(&mut self, matrix: impl Into<Arc<AnyProtectedMatrix>>) -> MatrixId {
         self.matrices.push(matrix.into());
         MatrixId(self.matrices.len() - 1)
-    }
-
-    /// Encodes and registers a matrix for subsequent jobs (CSR storage).
-    #[deprecated(
-        since = "0.6.0",
-        note = "encode with AnyProtectedMatrix::encode and pass the result to the one-stop SolveQueue::register"
-    )]
-    pub fn register_matrix(
-        &mut self,
-        matrix: &CsrMatrix,
-        protection: &ProtectionConfig,
-    ) -> Result<MatrixId, abft_core::AbftError> {
-        let encoded = AnyProtectedMatrix::encode(matrix, protection, StorageTier::Csr)?;
-        Ok(self.register(encoded))
-    }
-
-    /// Encodes and registers a matrix into an explicit storage tier.
-    #[deprecated(
-        since = "0.6.0",
-        note = "encode with AnyProtectedMatrix::encode and pass the result to the one-stop SolveQueue::register"
-    )]
-    pub fn register_matrix_tiered(
-        &mut self,
-        matrix: &CsrMatrix,
-        protection: &ProtectionConfig,
-        tier: StorageTier,
-    ) -> Result<MatrixId, abft_core::AbftError> {
-        let encoded = AnyProtectedMatrix::encode(matrix, protection, tier)?;
-        Ok(self.register(encoded))
-    }
-
-    /// Registers an already-encoded protected matrix of any storage tier.
-    #[deprecated(since = "0.6.0", note = "SolveQueue::register accepts the same inputs")]
-    pub fn register_encoded(&mut self, matrix: impl Into<AnyProtectedMatrix>) -> MatrixId {
-        self.register(matrix.into())
     }
 
     /// Queues a job; it runs at the next [`SolveQueue::drain`].
@@ -702,13 +663,20 @@ fn run_precond_panel(
             if let Some(budget) = col.budget {
                 cfg.max_iterations = cfg.max_iterations.min(budget);
             }
+            // A standalone FT-PCG solve through the front door, bitwise
+            // the same as `SolveSpec::solve` against this encoded matrix.
+            let spec = SolveSpec::cg().config(cfg);
             let outcome = if matrix.config().vectors != EccScheme::None {
-                precond_column(&FullyProtected::new(matrix), &col.rhs, precond, &cfg, &log)
+                let op = FullyProtected::new(matrix);
+                spec.solve_operator_preconditioned(&op, &col.rhs, precond, &log)
             } else {
-                precond_column(&MatrixProtected::new(matrix), &col.rhs, precond, &cfg, &log)
+                let op = MatrixProtected::new(matrix);
+                spec.solve_operator_preconditioned(&op, &col.rhs, precond, &log)
             };
             match outcome {
-                Ok((solution, status)) => {
+                Ok(SolveOutcome {
+                    solution, status, ..
+                }) => {
                     let termination = if status.converged {
                         Termination::Converged
                     } else if status.iterations < cfg.max_iterations {
@@ -745,25 +713,6 @@ fn run_precond_panel(
         })
         .collect();
     (results, FaultLogSnapshot::default())
-}
-
-/// One column's standalone-equivalent FT-PCG solve: own context, own
-/// reduction scope, own decode — bitwise the same as
-/// [`SolveSpec::solve`](abft_solvers::SolveSpec::solve) against the same
-/// encoded matrix.
-fn precond_column<Op: LinearOperator>(
-    op: &Op,
-    rhs: &[f64],
-    precond: &dyn Preconditioner,
-    config: &SolverConfig,
-    log: &FaultLog,
-) -> Result<(Vec<f64>, SolveStatus), SolverError> {
-    let base = FaultContext::with_log(log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(op, &b, precond, config, &ctx)?;
-    let solution = op.finish(&mut x, &ctx)?;
-    Ok((solution, status))
 }
 
 /// The generic panel body: per-column fault contexts, a scratch matrix

@@ -41,8 +41,8 @@ use std::fmt;
 /// A context may additionally carry a borrow of the operator backend's
 /// [`ReductionWorkspace`] (see
 /// [`LinearOperator::reduction_workspace`]); the
-/// [`Solver`](crate::Solver) front door attaches it so the parallel BLAS-1
-/// kernels reuse the backend's preallocated partial slots instead of
+/// [`SolveSpec`](crate::SolveSpec) front door attaches it so the parallel
+/// BLAS-1 kernels reuse the backend's preallocated partial slots instead of
 /// allocating per call.  Contexts without one (direct [`crate::generic`]
 /// callers) still work — the kernels then allocate transient scratch.
 #[derive(Debug)]
@@ -129,6 +129,10 @@ pub enum SolverError {
     /// The requested solver configuration is not expressible (explanatory
     /// message).
     Unsupported(String),
+    /// The solve's inputs are unusable: a right-hand side of the wrong
+    /// length or with a non-finite entry, or an invalid method knob
+    /// (explanatory message).
+    InvalidInput(String),
 }
 
 impl SolverError {
@@ -136,7 +140,7 @@ impl SolverError {
     pub fn fault(&self) -> Option<&AbftError> {
         match self {
             SolverError::Fault(e) => Some(e),
-            SolverError::Unsupported(_) => None,
+            SolverError::Unsupported(_) | SolverError::InvalidInput(_) => None,
         }
     }
 
@@ -145,7 +149,9 @@ impl SolverError {
     pub fn into_abft(self) -> AbftError {
         match self {
             SolverError::Fault(e) => e,
-            SolverError::Unsupported(msg) => AbftError::Unsupported(msg),
+            SolverError::Unsupported(msg) | SolverError::InvalidInput(msg) => {
+                AbftError::Unsupported(msg)
+            }
         }
     }
 }
@@ -155,6 +161,7 @@ impl fmt::Display for SolverError {
         match self {
             SolverError::Fault(e) => write!(f, "solver aborted on fault: {e}"),
             SolverError::Unsupported(msg) => write!(f, "unsupported solver configuration: {msg}"),
+            SolverError::InvalidInput(msg) => write!(f, "invalid solver input: {msg}"),
         }
     }
 }
@@ -163,7 +170,7 @@ impl std::error::Error for SolverError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             SolverError::Fault(e) => Some(e),
-            SolverError::Unsupported(_) => None,
+            SolverError::Unsupported(_) | SolverError::InvalidInput(_) => None,
         }
     }
 }

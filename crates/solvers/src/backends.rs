@@ -10,8 +10,8 @@
 //! All three expose the same trait surface, so the generic solvers in
 //! [`crate::generic`] run unchanged on any of them.  The backends borrow
 //! their matrix: encoding a [`ProtectedCsr`] is done once by the caller (or
-//! by the [`Solver`](crate::Solver) front door) and the operator is reused
-//! across solves within a time-step, matching TeaLeaf's structure.
+//! by the [`SolveSpec`](crate::SolveSpec) front door) and the operator is
+//! reused across solves within a time-step, matching TeaLeaf's structure.
 
 use crate::backend::{FaultContext, LinearOperator, SolverError, SolverVector};
 use crate::chebyshev::ChebyshevBounds;
@@ -746,7 +746,8 @@ mod tests {
         let cfg = ProtectionConfig::matrix_only(EccScheme::Secded64)
             .with_crc_backend(Crc32cBackend::SlicingBy16);
         let protected = ProtectedCsr::from_csr(&m, &cfg).unwrap();
-        let outcome = crate::Solver::chebyshev()
+        let outcome = crate::SolveSpec::cg()
+            .method(crate::Method::Chebyshev)
             .max_iterations(4000)
             .tolerance(1e-12)
             .solve_operator(&MatrixProtected::new(&protected), &vec![1.0; m.rows()])

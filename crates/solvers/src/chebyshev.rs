@@ -65,7 +65,7 @@ impl ChebyshevBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solver::Solver;
+    use crate::solver::{Method, SolveSpec};
     use abft_sparse::builders::{poisson_2d, tridiagonal};
 
     #[test]
@@ -91,7 +91,8 @@ mod tests {
         let a = poisson_2d(6, 6);
         let b = vec![1.0; a.rows()];
         let bounds = ChebyshevBounds::estimate_gershgorin(&a);
-        let outcome = Solver::chebyshev()
+        let outcome = SolveSpec::cg()
+            .method(Method::Chebyshev)
             .max_iterations(400)
             .tolerance(1e-12)
             .bounds(bounds)
@@ -100,7 +101,7 @@ mod tests {
         let status = outcome.status;
         assert!(status.final_residual < status.initial_residual * 1e-3);
         // The iterate approaches the CG solution.
-        let x_ref = Solver::cg()
+        let x_ref = SolveSpec::cg()
             .max_iterations(500)
             .tolerance(1e-20)
             .solve(&a, &b)
@@ -122,7 +123,8 @@ mod tests {
         let a = tridiagonal(30, 4.0, -1.0);
         let b = vec![1.0; 30];
         let solve = |bounds| {
-            Solver::chebyshev()
+            SolveSpec::cg()
+                .method(Method::Chebyshev)
                 .max_iterations(2000)
                 .tolerance(1e-16)
                 .bounds(bounds)

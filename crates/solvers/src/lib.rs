@@ -25,26 +25,27 @@
 //!   each matrix codeword group once per panel of up to
 //!   [`MAX_PANEL_WIDTH`](abft_core::MAX_PANEL_WIDTH) right-hand sides while
 //!   keeping every column bitwise identical to its standalone solve.
-//! * [`solver`] — the builder front door.
+//! * [`solver`] — the one front door, [`SolveSpec`]: method, stopping
+//!   criteria, one [`ProtectionConfig`](abft_core::ProtectionConfig),
+//!   storage tier and the optional preconditioner with its
+//!   [`ReliabilityPolicy`].
 //!
 //! ## Usage
 //!
 //! ```
-//! use abft_core::{EccScheme, ProtectionConfig};
-//! use abft_solvers::{ProtectionMode, Solver};
+//! use abft_core::EccScheme;
+//! use abft_solvers::SolveSpec;
 //! use abft_sparse::builders::poisson_2d_padded;
 //!
 //! let a = poisson_2d_padded(16, 16);
 //! let b = vec![1.0; a.rows()];
 //!
 //! // Plain baseline.
-//! let plain = Solver::cg().tolerance(1e-16).solve(&a, &b).unwrap();
+//! let plain = SolveSpec::cg().tolerance(1e-16).solve(&a, &b).unwrap();
 //!
 //! // Same solver, fully protected data structures.
-//! let config = ProtectionConfig::full(EccScheme::Secded64);
-//! let protected = Solver::cg()
+//! let protected = SolveSpec::new(EccScheme::Secded64)
 //!     .tolerance(1e-16)
-//!     .protection(ProtectionMode::Full(config))
 //!     .solve(&a, &b)
 //!     .unwrap();
 //!
@@ -56,10 +57,6 @@
 //! residuals) and a [`FaultLogSnapshot`](abft_core::FaultLogSnapshot) of the
 //! integrity-check activity, so the convergence-impact study of §VI-B and
 //! the overhead figures read off the same API.
-//!
-//! The historical per-mode entry points (`cg_plain`, `CgSolver`,
-//! `jacobi_solve`, …) have been removed; the builder and
-//! [`Solver::solve_operator`] cover every configuration they served.
 
 pub mod backend;
 pub mod backends;
@@ -67,15 +64,13 @@ pub mod chebyshev;
 pub mod generic;
 pub mod precond;
 pub mod solver;
-pub mod spec;
 pub mod status;
 
 pub use backend::{FaultContext, LinearOperator, SolverError, SolverVector};
 pub use chebyshev::ChebyshevBounds;
 pub use generic::{
-    block_cg, block_cg_panel, cg_with_poll, fcg, ft_pcg, BlockColumnOutcome, CgPollState,
+    block_cg, block_cg_panel, cg_with_poll, ft_pcg, BlockColumnOutcome, CgPollState,
 };
 pub use precond::{Ilu0, Polynomial, PrecondKind, Preconditioner, Reliability, ReliabilityPolicy};
-pub use solver::{Method, ProtectionMode, SolveOutcome, Solver};
-pub use spec::SolveSpec;
+pub use solver::{Method, SolveOutcome, SolveSpec, Solver};
 pub use status::{SolveStatus, SolverConfig, Termination};

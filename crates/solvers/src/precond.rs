@@ -65,7 +65,7 @@ impl Reliability {
 /// Whether a solve protects its inner preconditioner like everything else
 /// or deliberately runs it unreliably — the one-knob form of the
 /// selective-reliability decision exposed on
-/// [`SolveSpec`](crate::spec::SolveSpec).
+/// [`SolveSpec`](crate::SolveSpec).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ReliabilityPolicy {
     /// Uniform protection: the inner apply runs in the
@@ -130,7 +130,7 @@ pub trait Preconditioner {
     }
 }
 
-/// Which concrete preconditioner a [`SolveSpec`](crate::spec::SolveSpec)
+/// Which concrete preconditioner a [`SolveSpec`](crate::SolveSpec)
 /// or queue job asks for — plain data, hashable, so the serving layer can
 /// batch jobs by (matrix, config, precond) key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

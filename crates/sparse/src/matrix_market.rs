@@ -162,17 +162,33 @@ struct Accumulator {
     row_counts: Vec<u32>,
 }
 
+/// Most entries reserved up front from the header's declared count; the
+/// entry buffers grow past it as real entries arrive, so a hostile header
+/// cannot make the parser allocate for entries the file does not hold.
+const MAX_UPFRONT_ENTRIES: usize = 1 << 16;
+
 impl Accumulator {
-    fn new(rows: usize, cols: usize, symmetric: bool, capacity: usize) -> Self {
-        Accumulator {
+    fn new(
+        rows: usize,
+        cols: usize,
+        symmetric: bool,
+        declared: usize,
+    ) -> Result<Self, MatrixMarketError> {
+        let capacity = declared.min(MAX_UPFRONT_ENTRIES);
+        let mut row_counts = Vec::new();
+        row_counts.try_reserve_exact(rows).map_err(|_| {
+            MatrixMarketError::Invalid(SparseError::TooLarge(format!("{rows} rows")))
+        })?;
+        row_counts.resize(rows, 0u32);
+        Ok(Accumulator {
             rows,
             cols,
             symmetric,
             entry_rows: Vec::with_capacity(capacity),
             entry_cols: Vec::with_capacity(capacity),
             entry_vals: Vec::with_capacity(capacity),
-            row_counts: vec![0u32; rows],
-        }
+            row_counts,
+        })
     }
 
     /// Accepts one 0-based entry, counting its symmetric mirror too.
@@ -364,15 +380,13 @@ pub fn parse_matrix_market<R: BufRead>(reader: R) -> Result<CsrMatrix, MatrixMar
             declared = nnz;
             array_expected = nnz;
             size = Some((rows, cols, nnz));
+            // For array files `nnz` is an upper bound: zeros are dropped.
             acc = Some(Accumulator::new(
                 rows,
                 cols,
                 header.symmetry == Symmetry::Symmetric,
-                match header.format {
-                    Format::Coordinate => nnz,
-                    Format::Array => nnz, // upper bound; zeros are dropped
-                },
-            ));
+                nnz,
+            )?);
             continue;
         }
         let (rows, cols, _) = size.unwrap();
@@ -648,6 +662,12 @@ mod tests {
             "%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 1.0\n"
         )
         .is_err());
+        // A 60-byte file declaring 3e9 entries is a short file, not an
+        // attempt to reserve tens of gigabytes.
+        let hostile = "%%MatrixMarket matrix coordinate real general\n3 3 3000000000";
+        assert_eq!(hostile.len(), 60);
+        let e = parse_matrix_market_str(hostile);
+        assert!(matches!(e, Err(MatrixMarketError::Parse { .. })), "{e:?}");
         // Pattern array is not a thing.
         assert!(matches!(
             parse_matrix_market_str("%%MatrixMarket matrix array pattern general\n2 2\n"),

@@ -7,11 +7,10 @@
 //! times, iteration counts and the fault-log snapshot — the raw material of
 //! every overhead figure in the paper.
 //!
-//! The solver × protection dispatch is a single call into the generic
-//! [`Solver`] builder: the protection tier is derived from the
-//! [`ProtectionConfig`] and slid underneath whichever method the deck
-//! selects, so every solver (CG, Jacobi, Chebyshev, PPCG) runs in every
-//! protection mode.
+//! The solver × protection dispatch is a single call into the
+//! [`SolveSpec`] front door: the [`ProtectionConfig`] is handed over whole
+//! and slid underneath whichever method the deck selects, so every solver
+//! (CG, Jacobi, Chebyshev, PPCG) runs in every protection mode.
 
 use crate::assembly::{
     assemble_matrix, assemble_rhs, energy_from_u, face_coefficients, Conductivity,
@@ -21,7 +20,7 @@ use crate::grid::Grid;
 use crate::states::apply_states;
 use crate::summary::FieldSummary;
 use abft_core::{FaultLogSnapshot, ProtectionConfig};
-use abft_solvers::{Method, ProtectionMode, Solver, SolverConfig, SolverError};
+use abft_solvers::{Method, SolveSpec, SolverConfig, SolverError};
 use std::time::Instant;
 
 /// Per-time-step results.
@@ -140,18 +139,18 @@ impl Simulation {
         FieldSummary::compute(&self.grid, &self.density, &self.energy)
     }
 
-    /// The generic solver this deck and protection configuration select.
-    fn solver(&self) -> Solver {
+    /// The solve this deck and protection configuration select.
+    fn solver(&self) -> SolveSpec {
         let method = match self.deck.solver {
             SolverKind::Cg => Method::Cg,
             SolverKind::Jacobi => Method::Jacobi,
             SolverKind::Chebyshev => Method::Chebyshev,
             SolverKind::Ppcg => Method::Ppcg,
         };
-        Solver::new(method)
+        SolveSpec::cg()
+            .method(method)
             .config(SolverConfig::new(self.deck.max_iters, self.deck.eps))
-            .protection(ProtectionMode::from_config(&self.protection))
-            .parallel(self.protection.parallel)
+            .protection(self.protection)
     }
 
     /// Advances the simulation by one time-step.

@@ -76,7 +76,7 @@ fn main() {
     //    SECDED codewords correct it on the fly.
     let mut protected = ProtectedCoo::from_csr(&matrix, &config).expect("encode");
     protected.inject_value_bit_flip(7, 44);
-    let faulty = Solver::cg()
+    let faulty = SolveSpec::cg()
         .max_iterations(1000)
         .tolerance(1e-12)
         .solve_operator(&FullyProtected::new(&protected), &rhs)

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Builds a small five-point-stencil system and solves it through the one
-//! generic [`Solver`] builder in each protection mode — plain,
+//! [`SolveSpec`] front door in each protection mode — plain,
 //! matrix-protected, and fully protected — then injects a bit flip into the
 //! protected matrix and shows that the solve still produces the correct
 //! answer while the fault log records the correction.
@@ -28,7 +28,7 @@ fn main() {
     );
 
     // 2. One builder serves every protection tier.  Baseline first:
-    let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
+    let solver = SolveSpec::cg().max_iterations(2000).tolerance(1e-16);
     let plain = solver.solve(&matrix, &rhs).expect("plain solve");
     println!(
         "plain:         {} iterations, converged = {}",
@@ -38,7 +38,8 @@ fn main() {
     // ... the same solve with the matrix protected (Figures 4-8):
     let config = ProtectionConfig::full(EccScheme::Secded64);
     let matrix_protected = solver
-        .protection(ProtectionMode::Matrix(config))
+        .protection(config)
+        .matrix_only()
         .solve(&matrix, &rhs)
         .expect("matrix-protected solve");
     println!(
@@ -49,7 +50,7 @@ fn main() {
 
     // ... and fully protected — matrix and every work vector (Figure 9):
     let clean = solver
-        .protection(ProtectionMode::Full(config))
+        .protection(config)
         .solve(&matrix, &rhs)
         .expect("fully protected solve");
     println!(

@@ -23,8 +23,7 @@
 use abft_suite::core::{AnyProtectedMatrix, FaultLog, ProtectionConfig, StorageTier};
 use abft_suite::prelude::*;
 use abft_suite::solvers::backends::FullyProtected;
-use abft_suite::solvers::generic::ft_pcg;
-use abft_suite::solvers::{FaultContext, Ilu0, LinearOperator, Reliability};
+use abft_suite::solvers::{Ilu0, Reliability};
 use abft_suite::sparse::builders::poisson_2d_padded;
 use abft_suite::sparse::spmv::spmv_serial;
 
@@ -48,17 +47,18 @@ fn solve_with(
     precond: &Ilu0,
     config: &SolverConfig,
 ) -> (Vec<f64>, SolveStatus, u64, u64) {
-    let op = FullyProtected::new(protected);
-    let log = FaultLog::new();
-    let base = FaultContext::with_log(&log);
-    let ctx = base.scoped_to(op.reduction_workspace());
-    let b = op.vector_from(rhs);
-    let (mut x, status) = ft_pcg(&op, &b, precond, config, &ctx).expect("ft_pcg");
-    let solution = op.finish(&mut x, &ctx).expect("finish");
-    let snap = log.snapshot();
-    let corrected: u64 = snap.corrected.iter().sum();
-    let screened: u64 = snap.bounds_violations.iter().sum();
-    (solution, status, corrected, screened)
+    let outcome = SolveSpec::cg()
+        .config(*config)
+        .solve_operator_preconditioned(
+            &FullyProtected::new(protected),
+            rhs,
+            precond,
+            &FaultLog::new(),
+        )
+        .expect("FT-PCG");
+    let corrected: u64 = outcome.faults.corrected.iter().sum();
+    let screened: u64 = outcome.faults.bounds_violations.iter().sum();
+    (outcome.solution, outcome.status, corrected, screened)
 }
 
 fn main() {

@@ -9,7 +9,7 @@
 //! * [`core`] — the protected data structures (the paper's contribution)
 //! * [`solvers`] — the generic solver layer: CG, Jacobi, Chebyshev and PPCG
 //!   written once over the backend traits, fronted by the
-//!   [`Solver`](prelude::Solver) builder, plus multi-RHS block CG
+//!   [`SolveSpec`](prelude::SolveSpec) builder, plus multi-RHS block CG
 //! * [`serve`] — the multi-tenant serving front door: a
 //!   [`SolveQueue`](prelude::SolveQueue) batching concurrent jobs into
 //!   panels that share matrix verification
@@ -41,8 +41,8 @@ pub mod prelude {
     };
     pub use abft_serve::{JobOutcome, JobSpec, SolveQueue};
     pub use abft_solvers::{
-        Method, PrecondKind, Preconditioner, ProtectionMode, Reliability, ReliabilityPolicy,
-        SolveOutcome, SolveSpec, SolveStatus, Solver, SolverConfig, SolverError, Termination,
+        Method, PrecondKind, Preconditioner, Reliability, ReliabilityPolicy, SolveOutcome,
+        SolveSpec, SolveStatus, SolverConfig, SolverError, Termination,
     };
     pub use abft_sparse::{CooMatrix, CsrMatrix, Vector};
     pub use abft_tealeaf::{Deck, Simulation, SolverKind};

@@ -15,7 +15,7 @@ use abft_suite::core::{
 use abft_suite::faultsim::{
     Campaign, CampaignConfig, CampaignStats, FaultOutcome, FaultTarget, InjectionKind,
 };
-use abft_suite::prelude::{Crc32cBackend, Solver, SolverError};
+use abft_suite::prelude::{Crc32cBackend, SolveSpec, SolverError};
 use abft_suite::solvers::backends::FullyProtected;
 use abft_suite::solvers::{ChebyshevBounds, FaultContext, LinearOperator};
 use abft_suite::sparse::builders::poisson_2d_padded;
@@ -170,7 +170,7 @@ fn post_rebuild_trajectory_is_bitwise_identical_across_worker_counts() {
         .with_parity(PARITY)
         .with_parallel(true);
     let protected = ProtectedCsr::from_csr(&matrix, &protection).unwrap();
-    let solver = Solver::cg().max_iterations(2000).tolerance(1e-15);
+    let solver = SolveSpec::cg().max_iterations(2000).tolerance(1e-15);
 
     // The reference trajectory: the same solve with no fault at all.
     let clean = solver

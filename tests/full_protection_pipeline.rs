@@ -27,7 +27,7 @@ fn tealeaf_system(nx: usize, ny: usize) -> (abft_suite::sparse::CsrMatrix, Vec<f
 #[test]
 fn every_scheme_solves_the_tealeaf_system_cleanly() {
     let (matrix, rhs) = tealeaf_system(24, 18);
-    let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
+    let solver = SolveSpec::cg().max_iterations(2000).tolerance(1e-16);
     let baseline = solver.solve(&matrix, &rhs).unwrap();
     for scheme in EccScheme::ALL {
         for protection in [
@@ -37,10 +37,7 @@ fn every_scheme_solves_the_tealeaf_system_cleanly() {
             ProtectionConfig::vectors_only(scheme),
             ProtectionConfig::full(scheme),
         ] {
-            let result = solver
-                .protection(ProtectionMode::from_config(&protection))
-                .solve(&matrix, &rhs)
-                .unwrap();
+            let result = solver.protection(protection).solve(&matrix, &rhs).unwrap();
             assert!(result.status.converged, "{}", protection.describe());
             assert_eq!(result.faults.total_uncorrectable(), 0);
             let norm: f64 = baseline.solution.iter().map(|v| v * v).sum::<f64>().sqrt();
@@ -64,18 +61,14 @@ fn every_scheme_solves_the_tealeaf_system_cleanly() {
 #[test]
 fn parallel_and_serial_protected_solves_agree() {
     let (matrix, rhs) = tealeaf_system(20, 20);
-    let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
+    let solver = SolveSpec::cg().max_iterations(2000).tolerance(1e-16);
     for scheme in [EccScheme::Sed, EccScheme::Secded64, EccScheme::Crc32c] {
         let serial = solver
-            .protection(ProtectionMode::Matrix(ProtectionConfig::matrix_only(
-                scheme,
-            )))
+            .protection(ProtectionConfig::matrix_only(scheme))
             .solve(&matrix, &rhs)
             .unwrap();
         let parallel = solver
-            .protection(ProtectionMode::Matrix(
-                ProtectionConfig::matrix_only(scheme).with_parallel(true),
-            ))
+            .protection(ProtectionConfig::matrix_only(scheme).with_parallel(true))
             .solve(&matrix, &rhs)
             .unwrap();
         // The parallel dot products reduce in a different order, so the
@@ -98,11 +91,8 @@ fn parallel_and_serial_protected_solves_agree() {
 fn injected_fault_mid_pipeline_is_absorbed() {
     let (matrix, rhs) = tealeaf_system(16, 16);
     let protection = ProtectionConfig::full(EccScheme::Crc32c);
-    let solver = Solver::cg().max_iterations(2000).tolerance(1e-16);
-    let clean = solver
-        .protection(ProtectionMode::Full(protection))
-        .solve(&matrix, &rhs)
-        .unwrap();
+    let solver = SolveSpec::cg().max_iterations(2000).tolerance(1e-16);
+    let clean = solver.protection(protection).solve(&matrix, &rhs).unwrap();
 
     let log = FaultLog::new();
     let mut protected = ProtectedCsr::from_csr(&matrix, &protection).unwrap();

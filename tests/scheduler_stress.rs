@@ -13,7 +13,7 @@
 //! trajectory endpoints, and the complete fault-log snapshot.
 
 use abft_suite::core::{EccScheme, FaultLogSnapshot, ProtectedCsr, ProtectionConfig};
-use abft_suite::prelude::{Crc32cBackend, Solver};
+use abft_suite::prelude::{Crc32cBackend, SolveSpec};
 use abft_suite::solvers::backends::FullyProtected;
 use abft_suite::sparse::builders::poisson_2d_padded;
 
@@ -53,7 +53,7 @@ fn protected_cg_is_bitwise_reproducible_for_worker_counts_1_to_8() {
             // A fresh operator per run: workspaces start cold every time, so
             // reuse effects cannot mask a scheduling dependence either.
             let op = FullyProtected::new(&protected);
-            let outcome = Solver::cg()
+            let outcome = SolveSpec::cg()
                 .max_iterations(25)
                 .tolerance(0.0)
                 .solve_operator(&op, &b)

@@ -14,7 +14,7 @@
 //! this suite pins the *consumers* through the public API.
 
 use abft_suite::core::{EccScheme, FaultLog, ProtectedCsr, ProtectedVector, ProtectionConfig};
-use abft_suite::prelude::{Crc32cBackend, ProtectedMatrix, Solver};
+use abft_suite::prelude::{Crc32cBackend, ProtectedMatrix, SolveSpec};
 use abft_suite::solvers::backends::FullyProtected;
 use abft_suite::sparse::builders::poisson_2d_padded;
 
@@ -245,7 +245,7 @@ fn worker_sweep_trajectories_and_check_counts_are_identical() {
         for workers in [1usize, 2, 8] {
             rayon::set_worker_limit(Some(workers));
             let op = FullyProtected::new(&protected);
-            let outcome = Solver::cg()
+            let outcome = SolveSpec::cg()
                 .max_iterations(20)
                 .tolerance(0.0)
                 .solve_operator(&op, &b)

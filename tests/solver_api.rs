@@ -111,7 +111,7 @@ fn reference_jacobi(
 fn generic_cg_is_bit_identical_to_the_old_plain_entry_point() {
     let (a, b) = system();
     let (x_ref, iters_ref) = reference_cg(&a, &b, 500, 1e-18);
-    let outcome = Solver::cg()
+    let outcome = SolveSpec::cg()
         .max_iterations(500)
         .tolerance(1e-18)
         .solve(&a, &b)
@@ -127,7 +127,8 @@ fn generic_cg_is_bit_identical_to_the_old_plain_entry_point() {
 fn generic_jacobi_is_bit_identical_to_the_old_plain_entry_point() {
     let (a, b) = system();
     let (x_ref, iters_ref) = reference_jacobi(&a, &b, 4000, 1e-14);
-    let outcome = Solver::jacobi()
+    let outcome = SolveSpec::cg()
+        .method(Method::Jacobi)
         .max_iterations(4000)
         .tolerance(1e-14)
         .solve(&a, &b)
@@ -151,16 +152,17 @@ fn matrix_protection_preserves_the_plain_trajectory_for_all_methods() {
         (Method::Ppcg, 500),
     ];
     for (method, max_iterations) in configs {
-        let solver = Solver::new(method)
+        let solver = SolveSpec::cg()
+            .method(method)
             .max_iterations(max_iterations)
             .tolerance(1e-14);
         let plain = solver.solve(&a, &b).unwrap();
         for scheme in EccScheme::ALL {
             let protected = solver
-                .protection(ProtectionMode::Matrix(
+                .protection(
                     ProtectionConfig::matrix_only(scheme)
                         .with_crc_backend(Crc32cBackend::SlicingBy16),
-                ))
+                )
                 .solve(&a, &b)
                 .unwrap();
             assert_eq!(
@@ -185,15 +187,16 @@ fn fully_protected_solves_stay_within_masking_noise_for_all_methods() {
         (Method::Ppcg, 500, 1e-16),
     ];
     for (method, max_iterations, eps) in configs {
-        let solver = Solver::new(method)
+        let solver = SolveSpec::cg()
+            .method(method)
             .max_iterations(max_iterations)
             .tolerance(eps);
         let plain = solver.solve(&a, &b).unwrap();
         for scheme in EccScheme::ALL {
             let protected = solver
-                .protection(ProtectionMode::Full(
+                .protection(
                     ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::SlicingBy16),
-                ))
+                )
                 .solve(&a, &b)
                 .unwrap();
             assert!(
@@ -212,7 +215,8 @@ fn protected_chebyshev_and_ppcg_recover_from_matrix_bit_flips() {
     let (a, b) = system();
     let bounds = ChebyshevBounds::estimate_gershgorin(&a);
     for method in [Method::Chebyshev, Method::Ppcg] {
-        let solver = Solver::new(method)
+        let solver = SolveSpec::cg()
+            .method(method)
             .max_iterations(4000)
             .tolerance(1e-16)
             .bounds(bounds);
@@ -258,7 +262,10 @@ fn protected_ppcg_recovers_from_vector_bit_flips() {
         ProtectionConfig::full(EccScheme::Secded64).with_crc_backend(Crc32cBackend::SlicingBy16);
     let protected = ProtectedCsr::from_csr(&a, &protection).unwrap();
     let op = FullyProtected::new(&protected);
-    let solver = Solver::ppcg().max_iterations(500).tolerance(1e-16);
+    let solver = SolveSpec::cg()
+        .method(Method::Ppcg)
+        .max_iterations(500)
+        .tolerance(1e-16);
     let clean = solver.solve_operator(&op, &b).unwrap();
 
     // Corrupt the encoded right-hand side before handing it to the solver:
@@ -288,11 +295,11 @@ fn solve_operator_logged_records_into_the_callers_log() {
     protected.inject_value_bit_flip(23, 41);
 
     let log = FaultLog::new();
-    let logged = Solver::cg()
+    let logged = SolveSpec::cg()
         .config(config)
         .solve_operator_logged(&MatrixProtected::new(&protected), &b, &log)
         .unwrap();
-    let builder = Solver::cg()
+    let builder = SolveSpec::cg()
         .config(config)
         .solve_operator(&MatrixProtected::new(&protected), &b)
         .unwrap();
@@ -314,11 +321,11 @@ fn solve_operator_logged_records_into_the_callers_log() {
         ProtectionConfig::full(EccScheme::Secded64).with_crc_backend(Crc32cBackend::SlicingBy16);
     let encoded = ProtectedCsr::from_csr(&a, &full).unwrap();
     let log = FaultLog::new();
-    let logged = Solver::cg()
+    let logged = SolveSpec::cg()
         .config(config)
         .solve_operator_logged(&FullyProtected::new(&encoded), &b, &log)
         .unwrap();
-    let builder = Solver::cg()
+    let builder = SolveSpec::cg()
         .config(config)
         .solve_operator(&FullyProtected::new(&encoded), &b)
         .unwrap();
@@ -333,7 +340,7 @@ fn solve_operator_logged_records_into_the_callers_log() {
     let mut corrupt = ProtectedCsr::from_csr(&a, &sed).unwrap();
     corrupt.inject_value_bit_flip(10, 52);
     let log = FaultLog::new();
-    let result = Solver::cg().config(config).solve_operator_logged(
+    let result = SolveSpec::cg().config(config).solve_operator_logged(
         &MatrixProtected::new(&corrupt),
         &b,
         &log,
@@ -360,5 +367,56 @@ fn campaign_covers_protected_chebyshev_and_ppcg() {
         assert_eq!(stats.trials(), 20);
         assert_eq!(stats.count(FaultOutcome::SilentCorruption), 0, "{method:?}");
         assert!(stats.count(FaultOutcome::Corrected) > 0, "{method:?}");
+    }
+}
+
+/// The specs every typed-input test runs: plain, matrix-only and fully
+/// protected, so the check is seen to come before any encode.
+fn input_check_specs() -> [SolveSpec; 3] {
+    let secded = SolveSpec::new(EccScheme::Secded64).crc_backend(Crc32cBackend::SlicingBy16);
+    [SolveSpec::cg(), secded.matrix_only(), secded]
+}
+
+#[test]
+fn short_right_hand_side_is_a_typed_error() {
+    let (a, b) = system();
+    for spec in input_check_specs() {
+        let err = spec.solve(&a, &b[1..]).unwrap_err();
+        assert!(matches!(err, SolverError::InvalidInput(_)), "{err}");
+    }
+    let protected = ProtectedCsr::from_csr(
+        &a,
+        &ProtectionConfig::full(EccScheme::Secded64).with_crc_backend(Crc32cBackend::SlicingBy16),
+    )
+    .unwrap();
+    let err = SolveSpec::cg()
+        .solve_operator(&FullyProtected::new(&protected), &b[1..])
+        .unwrap_err();
+    assert!(matches!(err, SolverError::InvalidInput(_)), "{err}");
+}
+
+#[test]
+fn non_finite_right_hand_side_is_a_typed_error() {
+    let (a, b) = system();
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut b = b.clone();
+        b[5] = bad;
+        for spec in input_check_specs() {
+            let err = spec.solve(&a, &b).unwrap_err();
+            assert!(matches!(err, SolverError::InvalidInput(_)), "{bad}: {err}");
+        }
+    }
+}
+
+#[test]
+fn ppcg_without_inner_steps_is_a_typed_error() {
+    let (a, b) = system();
+    for spec in input_check_specs() {
+        let err = spec
+            .method(Method::Ppcg)
+            .inner_steps(0)
+            .solve(&a, &b)
+            .unwrap_err();
+        assert!(matches!(err, SolverError::InvalidInput(_)), "{err}");
     }
 }

@@ -7,7 +7,7 @@
 //! (vector clones, the decoded solution), none to the iterations.
 
 use abft_suite::core::{EccScheme, ProtectionConfig};
-use abft_suite::prelude::{Crc32cBackend, Solver};
+use abft_suite::prelude::{Crc32cBackend, SolveSpec};
 use abft_suite::solvers::backends::{FullyProtected, MatrixProtected};
 use abft_suite::sparse::builders::poisson_2d_padded;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,8 +63,8 @@ fn matrix_protected_cg_iterations_do_not_allocate() {
         .with_crc_backend(Crc32cBackend::SlicingBy16);
     let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
     let op = MatrixProtected::new(&protected);
-    let short = Solver::cg().max_iterations(10).tolerance(0.0);
-    let long = Solver::cg().max_iterations(60).tolerance(0.0);
+    let short = SolveSpec::cg().max_iterations(10).tolerance(0.0);
+    let long = SolveSpec::cg().max_iterations(60).tolerance(0.0);
     // Warm the operator workspace (first SpMV sizes the scratch buffers).
     short.solve_operator(&op, &b).unwrap();
 
@@ -104,8 +104,8 @@ fn parallel_fully_protected_cg_iterations_do_not_allocate() {
             .with_crc_backend(Crc32cBackend::SlicingBy16);
         let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
         let op = FullyProtected::new(&protected);
-        let short = Solver::cg().max_iterations(10).tolerance(0.0);
-        let long = Solver::cg().max_iterations(60).tolerance(0.0);
+        let short = SolveSpec::cg().max_iterations(10).tolerance(0.0);
+        let long = SolveSpec::cg().max_iterations(60).tolerance(0.0);
         // Warm-up: spawns the pool (first use only), sizes the SpMV and
         // reduction workspaces, and grows the per-chunk scratch buffers.
         short.solve_operator(&op, &b).unwrap();
@@ -145,8 +145,8 @@ fn fully_protected_cg_iterations_do_not_allocate() {
         let cfg = ProtectionConfig::full(scheme).with_crc_backend(Crc32cBackend::SlicingBy16);
         let protected = abft_suite::core::ProtectedCsr::from_csr(&a, &cfg).unwrap();
         let op = FullyProtected::new(&protected);
-        let short = Solver::cg().max_iterations(10).tolerance(0.0);
-        let long = Solver::cg().max_iterations(60).tolerance(0.0);
+        let short = SolveSpec::cg().max_iterations(10).tolerance(0.0);
+        let long = SolveSpec::cg().max_iterations(60).tolerance(0.0);
         short.solve_operator(&op, &b).unwrap();
 
         let allocs_short = allocations_during(|| {
